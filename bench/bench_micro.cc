@@ -30,6 +30,12 @@
  * machine-independent ratios (packed >= varint decode, bulk >= merge
  * intersection) absolutely and the absolute packed postings/sec
  * against the baseline on comparable hosts.
+ *
+ * A build_tail section times Implementation 2's step after Stage 3 on
+ * four round-robin lanes with two threads: the legacy joinParallel ->
+ * IndexSnapshot::seal against the merge-and-pack
+ * IndexSnapshot::sealMerged (same snapshot bytes, checked). Its
+ * speedup is a same-machine ratio; check_bench.py gates it >= 1.5.
  */
 
 #include <benchmark/benchmark.h>
@@ -42,6 +48,7 @@
 #include <fstream>
 #include <iostream>
 #include <new>
+#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -49,10 +56,12 @@
 #include "core/index_generator.hh"
 #include "fs/corpus.hh"
 #include "index/doc_table.hh"
+#include "index/index_join.hh"
 #include "index/index_snapshot.hh"
 #include "index/inverted_index.hh"
 #include "index/posting_block.hh"
 #include "index/posting_cursor.hh"
+#include "index/serialize.hh"
 #include "pipeline/blocking_queue.hh"
 #include "search/plan.hh"
 #include "search/ranked.hh"
@@ -570,6 +579,88 @@ runSealedSegment(const FileSystem &fs, const FileList &files)
 }
 
 // ----------------------------------------------------------------------
+// Build tail: what Implementation 2 does after Stage 3. The legacy
+// path concatenates the replicas (joinParallel on z threads) and seals
+// the joined index (sort each list, encode); merge-and-pack k-way
+// merges each term across the replicas and packs it, on the same z
+// threads. Both run on the same four round-robin lanes and must write
+// the same snapshot bytes.
+// ----------------------------------------------------------------------
+
+/** Legacy join -> seal against merge-and-pack; see above. */
+struct BuildTailMetrics
+{
+    std::size_t lanes = 0;
+    std::size_t threads = 0;
+    std::uint64_t postings = 0;
+    double legacy_seconds = 0;
+    double merge_pack_seconds = 0;
+
+    double speedup() const { return legacy_seconds / merge_pack_seconds; }
+};
+
+/** @return saveSnapshot()'s bytes for @p snapshot. */
+std::string
+snapshotBytes(const IndexSnapshot &snapshot, const DocTable &docs)
+{
+    std::ostringstream out;
+    saveSnapshot(snapshot, docs, out);
+    return std::move(out).str();
+}
+
+BuildTailMetrics
+runBuildTail(const FileSystem &fs, const FileList &files)
+{
+    BuildTailMetrics m;
+    m.lanes = 4;
+    m.threads = 2; // z of the paper's (4, 0, 2)
+    std::vector<InvertedIndex> replicas(m.lanes);
+    TermExtractor extractor(fs);
+    TermBlock block;
+    for (const FileEntry &file : files) {
+        if (extractor.extract(file, block))
+            replicas[file.doc % m.lanes].addBlock(block);
+    }
+    for (const InvertedIndex &replica : replicas)
+        m.postings += replica.postingCount();
+    auto copy = [&replicas] {
+        std::vector<InvertedIndex> lanes;
+        for (const InvertedIndex &replica : replicas)
+            lanes.push_back(replica.clone());
+        return lanes;
+    };
+
+    // Warm-up pass (checks the bytes), then best of three.
+    const DocTable docs = DocTable::fromFileList(files);
+    for (int pass = -1; pass < 3; ++pass) {
+        std::vector<InvertedIndex> legacy_lanes = copy();
+        Timer legacy_timer;
+        IndexSnapshot legacy = IndexSnapshot::seal(
+            joinParallel(std::move(legacy_lanes), m.threads));
+        const double legacy_s = legacy_timer.elapsedSec();
+
+        std::vector<InvertedIndex> merge_lanes = copy();
+        Timer merge_timer;
+        IndexSnapshot merged =
+            IndexSnapshot::sealMerged(std::move(merge_lanes), m.threads);
+        const double merge_s = merge_timer.elapsedSec();
+
+        if (pass < 0) {
+            if (snapshotBytes(legacy, docs) != snapshotBytes(merged, docs))
+                std::cerr << "bench_micro: build_tail mismatch: "
+                             "merge-and-pack bytes differ from "
+                             "join -> seal\n";
+            continue;
+        }
+        if (pass == 0 || legacy_s < m.legacy_seconds)
+            m.legacy_seconds = legacy_s;
+        if (pass == 0 || merge_s < m.merge_pack_seconds)
+            m.merge_pack_seconds = merge_s;
+    }
+    return m;
+}
+
+// ----------------------------------------------------------------------
 // Posting-codec head-to-head: varint vs bit-packed decode, seekGE
 // merge vs bulk SIMD intersection. Synthetic lists isolate the codec
 // from corpus shape; the gap profiles cover the packed widths a real
@@ -945,6 +1036,7 @@ writeJson(std::ostream &out, const StageMetrics &legacy,
           const CodecDecodeMetrics &decode,
           const IntersectMetrics &intersect,
           const QueryExecMetrics &query_exec,
+          const BuildTailMetrics &build_tail,
           std::size_t corpus_files, std::uint64_t corpus_bytes)
 {
     auto section = [&out](const char *name, const StageMetrics &m,
@@ -999,6 +1091,15 @@ writeJson(std::ostream &out, const StageMetrics &legacy,
         << "    \"legacy_qps\": " << query_exec.legacyQps() << ",\n"
         << "    \"plan_qps\": " << query_exec.planQps() << ",\n"
         << "    \"speedup\": " << query_exec.speedup() << "\n  },\n";
+    out << "  \"build_tail\": {\n"
+        << "    \"lanes\": " << build_tail.lanes << ",\n"
+        << "    \"threads\": " << build_tail.threads << ",\n"
+        << "    \"postings\": " << build_tail.postings << ",\n"
+        << "    \"legacy_seconds\": " << build_tail.legacy_seconds
+        << ",\n"
+        << "    \"merge_pack_seconds\": "
+        << build_tail.merge_pack_seconds << ",\n"
+        << "    \"speedup\": " << build_tail.speedup() << "\n  },\n";
     out << "  \"speedup\": "
         << legacy.seconds / zero_copy.seconds << ",\n"
         << "  \"alloc_bytes_per_block_ratio\": "
@@ -1039,6 +1140,7 @@ runStage23Comparison()
     CodecDecodeMetrics decode = runCodecDecode();
     IntersectMetrics intersect = runIntersection();
     QueryExecMetrics query_exec = runQueryExec();
+    BuildTailMetrics build_tail = runBuildTail(*fs, files);
 
     std::uint64_t corpus_bytes = 0;
     for (const FileEntry &file : files)
@@ -1046,9 +1148,9 @@ runStage23Comparison()
 
     std::ofstream json("BENCH_micro.json");
     writeJson(json, legacy, zero_copy, sealed, decode, intersect,
-              query_exec, files.size(), corpus_bytes);
+              query_exec, build_tail, files.size(), corpus_bytes);
     writeJson(std::cout, legacy, zero_copy, sealed, decode, intersect,
-              query_exec, files.size(), corpus_bytes);
+              query_exec, build_tail, files.size(), corpus_bytes);
 }
 
 } // namespace

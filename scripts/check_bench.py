@@ -48,6 +48,12 @@ snapshot — is also a same-machine ratio, gated absolutely at
 >= --min-query-exec-speedup (default 0.95): the unified execution
 layer may not cost more than 5% against the code it replaced.
 
+build_tail.speedup — Implementation 2's step after Stage 3 on four
+round-robin lanes with two threads: the legacy joinParallel -> seal
+(concatenate, sort, encode) over the merge-and-pack seal (k-way merge
+and pack per term share) — is a same-machine ratio, gated absolutely
+at >= --min-build-tail-speedup (default 1.5) on every host.
+
 Advisory metrics (reported, never fatal):
 alloc_bytes_per_block_ratio, sealed_segment.seal_postings_per_sec,
 sealed_segment.decode_postings_per_sec, plus whichever of
@@ -499,6 +505,12 @@ def main():
                         help="minimum planner-vs-legacy query "
                              "execution speedup (absolute gate, "
                              "machine-independent, default 0.95)")
+    parser.add_argument("--min-build-tail-speedup", type=float,
+                        default=1.5,
+                        help="minimum merge-and-pack speedup over the "
+                             "legacy join -> seal build tail "
+                             "(absolute gate, machine-independent, "
+                             "default 1.5)")
     args = parser.parse_args()
 
     if args.overload and not args.server_bench:
@@ -552,6 +564,13 @@ def main():
               file=sys.stderr)
         return 2
     fresh = best_of(runs)
+    # The build-tail ratio compares two timings inside one run, so
+    # (like the server's ratios) keep the run where the scheduler
+    # interfered least.
+    tails = [r["build_tail"] for r in runs if "build_tail" in r]
+    if tails:
+        fresh = dict(fresh)
+        fresh["build_tail"] = max(tails, key=lambda t: t["speedup"])
 
     # Machine comparability: the legacy pipeline barely changes, so a
     # large delta there means different hardware, not a regression.
@@ -691,6 +710,27 @@ def main():
               f"{speedup:.3g} (plan {query_exec['plan_qps']:.3g} / "
               f"legacy {query_exec['legacy_qps']:.3g} qps, gate >= "
               f"{args.min_query_exec_speedup:.3g}) {status}")
+
+    # Build tail: merge-and-pack vs the legacy join -> seal on the
+    # same lanes and threads; a same-machine ratio, gated everywhere.
+    build_tail = fresh.get("build_tail")
+    if build_tail is None:
+        print("check_bench: fresh run lacks build_tail metrics",
+              file=sys.stderr)
+        return 2
+    speedup = build_tail["speedup"]
+    status = ("OK" if speedup >= args.min_build_tail_speedup
+              else "REGRESSION")
+    if speedup < args.min_build_tail_speedup:
+        failures.append("build_tail.speedup")
+    base = baseline.get("build_tail", {}).get("speedup")
+    base_text = f"{base:.3g}" if base is not None else "n/a"
+    print(f"build_tail.speedup: baseline {base_text} -> fresh "
+          f"{speedup:.3g} (join -> seal "
+          f"{build_tail['legacy_seconds'] * 1e3:.3g} ms / merge-and-pack "
+          f"{build_tail['merge_pack_seconds'] * 1e3:.3g} ms, "
+          f"{build_tail['threads']} threads, gate >= "
+          f"{args.min_build_tail_speedup:.3g}) {status}")
 
     for metric in ADVISORY:
         base = baseline.get(metric)

@@ -88,14 +88,13 @@ Engine::build() const
         cfg.joiners = 1;
 
     IndexGenerator generator(*_fs, _root, cfg, _opts);
-    BuildResult built = generator.build();
-
+    BuildResult built;
     Result result;
+    result.snapshot = generator.buildSealed(built);
     result.config = built.config;
     result.docs = std::move(built.docs);
     result.times = built.times;
     result.extraction = built.extraction;
-    result.snapshot = built.sealIndices();
     return result;
 }
 

@@ -14,7 +14,9 @@
  *     Searcher search(built.snapshot, built.docs.docCount());
  *
  * The facade drives IndexGenerator (which in turn drives Stage 3
- * through the pluggable IndexBackend) and seals the outcome, so
+ * through the pluggable IndexBackend) and seals the outcome through
+ * the backend (IndexGenerator::buildSealed; Implementation 2 merges
+ * and packs its replicas on z threads straight into the segment), so
  * callers never touch a mutable InvertedIndex: joined organizations
  * yield a unified snapshot for Searcher/RankedSearcher, while
  * Implementation 3 yields one segment per replica for MultiSearcher.
@@ -60,7 +62,7 @@ class Engine
          */
         IndexSnapshot snapshot;
 
-        /** Stage timing breakdown. */
+        /** Stage timing breakdown; total includes the seal. */
         StageTimes times;
 
         /** Aggregated extractor counters. */

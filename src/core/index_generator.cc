@@ -44,9 +44,33 @@ IndexGenerator::IndexGenerator(const FileSystem &fs, std::string root,
 BuildResult
 IndexGenerator::build()
 {
+    BuildResult result;
+    Timer total;
+    std::unique_ptr<IndexBackend> backend = runStages(result);
+    result.indices = backend->release(&result.times.join);
+    result.times.total = total.elapsedSec();
+    return result;
+}
+
+IndexSnapshot
+IndexGenerator::buildSealed(BuildResult &result)
+{
+    result = BuildResult();
+    Timer total;
+    std::unique_ptr<IndexBackend> backend = runStages(result);
+    IndexSnapshot snapshot =
+        backend->sealed(&result.times.join, &result.times.seal);
+    result.times.total = total.elapsedSec();
+    return snapshot;
+}
+
+std::unique_ptr<IndexBackend>
+IndexGenerator::runStages(BuildResult &result)
+{
+    result.config = _cfg;
     if (_cfg.impl == Implementation::Sequential)
-        return buildSequential();
-    return buildParallel();
+        return runSequential(result);
+    return runParallel(result);
 }
 
 namespace {
@@ -68,13 +92,9 @@ occurrencesToBlock(const std::vector<std::string> &occurrences,
 
 } // namespace
 
-BuildResult
-IndexGenerator::buildSequential()
+std::unique_ptr<IndexBackend>
+IndexGenerator::runSequential(BuildResult &result)
 {
-    BuildResult result;
-    result.config = _cfg;
-    Timer total;
-
     // Stage 1: single-threaded filename generation, run to completion.
     Timer stage1;
     FileList files = generateFilenames(_fs, _root);
@@ -107,18 +127,12 @@ IndexGenerator::buildSequential()
     }
 
     result.extraction = extractor.stats();
-    result.indices = backend->release();
-    result.times.total = total.elapsedSec();
-    return result;
+    return backend;
 }
 
-BuildResult
-IndexGenerator::buildParallel()
+std::unique_ptr<IndexBackend>
+IndexGenerator::runParallel(BuildResult &result)
 {
-    BuildResult result;
-    result.config = _cfg;
-    Timer total;
-
     const unsigned x = _cfg.extractors;
     const unsigned y = _cfg.updaters;
     const bool buffered = y > 0;
@@ -249,13 +263,10 @@ IndexGenerator::buildParallel()
         result.extraction = stats_total;
     }
 
-    // Finalize per organization — entirely the backend's business
-    // (the "Join Forces" barrier is implicit: every writer joined
-    // above).
-    result.indices = backend->release(&result.times.join);
-
-    result.times.total = total.elapsedSec();
-    return result;
+    // Finalizing is the caller's choice (release or seal) and the
+    // backend's business; the "Join Forces" barrier is implicit:
+    // every writer joined above.
+    return backend;
 }
 
 StageTimes

@@ -16,7 +16,13 @@
  *    queue drained by y updater threads.
  *  - ReplicatedJoin (Implementation 2): as above but each updater (or
  *    extractor when y = 0) owns a private index; after a barrier the
- *    replicas are joined by z threads ("Join Forces").
+ *    replicas are joined by z threads ("Join Forces"). The join is
+ *    fused with the seal: buildSealed() has the z threads each k-way
+ *    merge a share of the terms across all replicas and pack it
+ *    straight into compressed blocks (PostingSegment::build), so no
+ *    concatenated index is built and no merged list is re-sorted.
+ *    build(), which hands out mutable indices, still joins with the
+ *    joinParallel reduction.
  *  - ReplicatedNoJoin (Implementation 3): same, but the replicas are
  *    kept and queried in parallel (see search/multi_searcher.hh).
  *
@@ -37,6 +43,7 @@
 #ifndef DSEARCH_CORE_INDEX_GENERATOR_HH
 #define DSEARCH_CORE_INDEX_GENERATOR_HH
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,6 +57,8 @@
 #include "text/tokenizer.hh"
 
 namespace dsearch {
+
+class IndexBackend;
 
 /** Everything a build run produces. */
 struct BuildResult
@@ -101,8 +110,22 @@ class IndexGenerator
     IndexGenerator(const FileSystem &fs, std::string root, Config cfg,
                    TokenizerOptions opts = {});
 
-    /** Run the build once. Reentrant; each call is independent. */
+    /**
+     * Run the build once and release the raw indices (the join, if
+     * any, is the joinParallel reduction; nothing is sealed).
+     * Reentrant; each call is independent.
+     */
     BuildResult build();
+
+    /**
+     * Run the build once and seal it through the backend
+     * (IndexBackend::sealed): Implementation 2 merges and packs its
+     * replicas straight into one segment, with no concatenated index
+     * in between. @p result receives everything but the indices
+     * (left empty); times.seal and times.total include the seal.
+     * This is Engine::build()'s path.
+     */
+    IndexSnapshot buildSealed(BuildResult &result);
 
     /**
      * The paper's Table 1 measurement: time (a) filename generation,
@@ -115,8 +138,13 @@ class IndexGenerator
                                               = {});
 
   private:
-    BuildResult buildSequential();
-    BuildResult buildParallel();
+    /**
+     * Stages 1-3 into the backend, filling @p result's config, docs,
+     * extraction counters and stage times up to Stage 3.
+     */
+    std::unique_ptr<IndexBackend> runStages(BuildResult &result);
+    std::unique_ptr<IndexBackend> runSequential(BuildResult &result);
+    std::unique_ptr<IndexBackend> runParallel(BuildResult &result);
 
     const FileSystem &_fs;
     std::string _root;

@@ -14,8 +14,18 @@ namespace dsearch {
  * For sequential runs the extract/update fields are accumulated
  * per-file phase times; for parallel runs they are the wall time of
  * the corresponding phase (extraction until the last extractor
- * finished; update for the extra drain time after that; join for the
- * reduction).
+ * finished; update for the extra drain time after that).
+ *
+ * `join` and `seal` split the work after Stage 3. For Implementation
+ * 2 sealed through Engine::build (IndexGenerator::buildSealed), the
+ * join is fused with the seal: `join` is the parallel merge portion
+ * (the z threads' k-way merge and block packing) and `seal` the
+ * assembly of their shares into the segment. Other organizations
+ * report their own join step, if any, in `join` and the encode in
+ * `seal`. IndexGenerator::build(), which returns mutable indices and
+ * does not seal, leaves `seal` at 0 and times the joinParallel
+ * reduction in `join`. `total` covers everything, seal included, so
+ * the parts never sum to more than it.
  *
  * `read_files` is only filled by the dedicated Table 1 measurement
  * (the "empty scanner" pass); ordinary builds leave it 0 because
@@ -27,8 +37,9 @@ struct StageTimes
     double read_files = 0.0;          ///< Empty-scanner read pass.
     double read_and_extract = 0.0;    ///< Stage 2 (includes reads).
     double index_update = 0.0;        ///< Stage 3 insert time.
-    double join = 0.0;                ///< Implementation 2 join.
-    double total = 0.0;               ///< End-to-end build time.
+    double join = 0.0;                ///< Join / parallel merge.
+    double seal = 0.0;                ///< Seal after the join.
+    double total = 0.0;               ///< End-to-end, seal included.
 };
 
 } // namespace dsearch

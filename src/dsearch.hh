@@ -58,10 +58,11 @@
  * generation to the QueryServer — an atomic snapshot hot-swap:
  * in-flight queries finish on the generation they started on, new
  * admissions see the new one, nothing pauses and nothing tears. A
- * merger thread compacts base + deltas LSM-style (index_join)
- * once enough accumulate, persists each compacted generation
- * crash-safely through SnapshotStore (which prunes old generations),
- * and publishes the unified result:
+ * merger thread compacts base + deltas LSM-style (the same
+ * merge-and-pack seal the build uses) once enough accumulate,
+ * persists each compacted generation crash-safely through
+ * SnapshotStore (which prunes old generations), and publishes the
+ * unified result:
  *
  *     QueryServer server(std::move(built2));   // a second build
  *     SnapshotStore store("/var/lib/dsearch");
@@ -154,6 +155,21 @@
  * intersection sections) by scripts/check_bench.py. Builds default
  * to -march=native (DSEARCH_NATIVE_ARCH=OFF for distributable
  * binaries).
+ *
+ * The build side has two hot loops, both single-pass. Stage 2's
+ * scanner (text/tokenizer.hh) is table-driven: one 256-entry lookup
+ * per byte yields the case-folded term character or a separator, and
+ * the same pass copies the term into a fixed buffer and computes its
+ * FNV-1a hash, which dedup, Stage 3 and the seal all reuse. After
+ * Stage 3, Implementation 2's "Join Forces" is fused with the seal
+ * (PostingSegment::build): the z joiner threads each take a share of
+ * the term space, k-way merge that share's lists across the replicas
+ * (already sorted under round-robin; sorted only when not) and pack
+ * them straight into compressed blocks, so no concatenated index is
+ * built and nothing is re-sorted. The persisted snapshot is
+ * byte-identical to sorting and encoding a joined index; the
+ * build_tail section of BENCH_micro.json gates the speedup over that
+ * join -> seal path.
  *
  * Failure handling: the library assumes disks lie and queries
  * misbehave. SnapshotStore persists snapshots crash-safely

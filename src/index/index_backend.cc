@@ -148,9 +148,10 @@ class ShardedLockBackend : public IndexBackend
 
 /**
  * Implementations 2 and 3: one private index per lane, no insert
- * synchronization. Sealing either runs the "Join Forces" reduction
- * (Implementation 2, cfg.joiners threads) or hands the replicas over
- * unjoined (Implementation 3).
+ * synchronization. Implementation 2 seals through the fused
+ * merge-and-pack on cfg.joiners threads ("Join Forces"); its release()
+ * keeps the joinParallel reduction. Implementation 3 hands the
+ * replicas over unjoined.
  */
 class ReplicatedBackend : public IndexBackend
 {
@@ -178,6 +179,25 @@ class ReplicatedBackend : public IndexBackend
         insertPrivate(_replicas[lane], block, _en_bloc);
     }
 
+    IndexSnapshot
+    sealed(double *join_seconds, double *seal_seconds) override
+    {
+        if (!_join)
+            return IndexBackend::sealed(join_seconds, seal_seconds);
+        // The "Join Forces" barrier is implicit (every writer joined);
+        // the join itself is the seal's parallel merge.
+        SealTimes times;
+        IndexSnapshot snapshot = IndexSnapshot::sealMerged(
+            std::move(_replicas), joinThreads(), PostingCodec::Packed,
+            &times);
+        _replicas.clear();
+        if (join_seconds != nullptr)
+            *join_seconds = times.merge;
+        if (seal_seconds != nullptr)
+            *seal_seconds = times.assemble;
+        return snapshot;
+    }
+
     std::vector<InvertedIndex>
     release(double *join_seconds) override
     {
@@ -186,9 +206,8 @@ class ReplicatedBackend : public IndexBackend
             // The "Join Forces" barrier is implicit: release() runs
             // only after every writer joined.
             Timer join_timer;
-            out.push_back(joinParallel(std::move(_replicas),
-                                       std::max<std::size_t>(1,
-                                                             _joiners)));
+            out.push_back(
+                joinParallel(std::move(_replicas), joinThreads()));
             if (join_seconds != nullptr)
                 *join_seconds = join_timer.elapsedSec();
         } else {
@@ -201,6 +220,8 @@ class ReplicatedBackend : public IndexBackend
     }
 
   private:
+    std::size_t joinThreads() const { return std::max(1u, _joiners); }
+
     std::vector<InvertedIndex> _replicas;
     bool _en_bloc;
     bool _join;
@@ -208,6 +229,17 @@ class ReplicatedBackend : public IndexBackend
 };
 
 } // namespace
+
+IndexSnapshot
+IndexBackend::sealed(double *join_seconds, double *seal_seconds)
+{
+    std::vector<InvertedIndex> indices = release(join_seconds);
+    Timer seal_timer;
+    IndexSnapshot snapshot = IndexSnapshot::seal(std::move(indices));
+    if (seal_seconds != nullptr)
+        *seal_seconds = seal_timer.elapsedSec();
+    return snapshot;
+}
 
 std::unique_ptr<IndexBackend>
 makeBackend(const Config &cfg)

@@ -18,16 +18,21 @@
  * thread-safe.
  *
  * Sealing runs the organization's finalization (lock release, shard
- * join, or the paper's "Join Forces" reduction) and canonicalizes the
+ * join, or the paper's "Join Forces" step) and canonicalizes the
  * result into an immutable IndexSnapshot. Implementations:
  *
  *  - makeBackend(Sequential):        one unlocked index, one lane.
  *  - makeBackend(SharedLocked):      one locked index (lock_shards = 1)
  *                                    or hash-sharded locks (> 1);
  *                                    seals to one segment.
- *  - makeBackend(ReplicatedJoin):    one private index per lane,
- *                                    joined by z threads at seal; one
- *                                    segment.
+ *  - makeBackend(ReplicatedJoin):    one private index per lane; the
+ *                                    join is fused with the seal: z
+ *                                    threads merge-and-pack the lanes
+ *                                    straight into one segment
+ *                                    (PostingSegment::build). release()
+ *                                    still concatenates them with
+ *                                    joinParallel for callers that
+ *                                    want a mutable index.
  *  - makeBackend(ReplicatedNoJoin):  private indices kept; seals to
  *                                    one segment per lane.
  */
@@ -88,15 +93,20 @@ class IndexBackend
     release(double *join_seconds = nullptr) = 0;
 
     /**
-     * Finalize into an immutable snapshot: release() + seal. This is
-     * the normal endpoint; release() exists for callers that still
-     * need mutable indices (maintenance, ablations).
+     * Finalize into an immutable snapshot. This is the normal
+     * endpoint (Engine::build uses it); release() exists for callers
+     * that still need mutable indices (maintenance, ablations). The
+     * default is release() + IndexSnapshot::seal; ReplicatedJoin
+     * overrides it with the fused merge-and-pack seal. The backend is
+     * empty afterwards.
+     *
+     * @param join_seconds When non-null, receives the join (or, when
+     *        fused, the parallel merge-and-pack) time.
+     * @param seal_seconds When non-null, receives the rest of the
+     *        seal: encoding, or assembling the merged shares.
      */
-    IndexSnapshot
-    sealed(double *join_seconds = nullptr)
-    {
-        return IndexSnapshot::seal(release(join_seconds));
-    }
+    virtual IndexSnapshot sealed(double *join_seconds = nullptr,
+                                 double *seal_seconds = nullptr);
 };
 
 /**

@@ -9,6 +9,13 @@
  * single thread, or should a parallel reduction setup with multiple
  * joining processes be used?" — is answered empirically by ablation
  * E8, for which both joins are provided.
+ *
+ * Both joins concatenate posting lists into one mutable index; they
+ * serve callers that want that index (IndexGenerator::build, the
+ * ablations). A sealed build never calls them: it merges the replicas
+ * term by term while packing them (PostingSegment::build via
+ * IndexSnapshot::sealMerged), which yields the same bytes as joining
+ * and then sealing, without the concatenation or the re-sort.
  */
 
 #ifndef DSEARCH_INDEX_INDEX_JOIN_HH

@@ -1,8 +1,12 @@
 #include "index/index_snapshot.hh"
 
 #include <algorithm>
+#include <bit>
+#include <exception>
+#include <thread>
 
 #include "util/logging.hh"
+#include "util/timer.hh"
 
 namespace dsearch {
 
@@ -10,57 +14,245 @@ namespace dsearch {
 // PostingSegment
 // ----------------------------------------------------------------------
 
-PostingSegment
-PostingSegment::build(InvertedIndex &&index, PostingCodec codec)
+namespace {
+
+/**
+ * One merge-and-pack thread's output: the blocks of the terms it owns,
+ * packed back to back into a private arena. Entry offsets and skip
+ * positions are relative to this share; skip *contents* are relative
+ * to each term's first block, so shares concatenate into the segment
+ * with only the entries rebased.
+ */
+struct PackedShare
 {
-    InvertedIndex source = std::move(index);
-    source.sortPostings();
+    struct Term
+    {
+        const std::string *key = nullptr; ///< Owned by an input lane.
+        PostingSegment::TermEntry entry;
+    };
 
-    PostingSegment segment;
-    segment._postings = source.postingCount();
-    segment._codec = codec;
-    const bool packed = codec == PostingCodec::Packed;
+    std::vector<std::uint8_t> arena;
+    std::vector<SkipEntry> skips;
+    std::vector<Term> terms;
+};
 
-    // Sizing pass: exact arena and skip-table sizes, so each is a
-    // single allocation regardless of term count.
-    std::size_t arena_bytes = 0;
-    std::size_t skip_entries = 0;
-    source.forEachTerm(
-        [&](const std::string &, const PostingList &list) {
-            arena_bytes +=
-                packed ? encodedPostingBytesPacked(list.data(),
-                                                   list.size())
-                       : encodedPostingBytes(list.data(), list.size());
-            skip_entries += postingSkipCount(list.size());
-        });
-    segment.reserveSealed(source.termCount(), arena_bytes,
-                          skip_entries);
+/** One merge-and-pack thread's scratch, reused across terms. */
+struct MergeScratch
+{
+    std::vector<DocId> out, tmp;
+    std::vector<std::size_t> bounds;
+    std::vector<std::uint64_t> bits;
+};
 
-    // Encoding pass: every term's blocks, back to back.
-    source.forEachTerm(
-        [&segment, packed](const std::string &term,
-                           const PostingList &list) {
-            if (list.empty())
-                return; // removeDoc() leftovers carry no postings
-            TermEntry entry;
-            entry.offset = segment._arena.size();
-            entry.skip_begin =
-                static_cast<std::uint32_t>(segment._skips.size());
-            if (packed)
-                encodePostingsPacked(list.data(), list.size(),
-                                     segment._arena, segment._skips);
+/**
+ * Dense merge: mark every document of @p runs in a bitmap over their
+ * range, then read the set bits back in order — linear, with no
+ * comparisons. Taken when the bitmap has no more words than the runs
+ * have documents (the frequent terms, which hold most postings).
+ *
+ * @return False when the runs are too sparse, or share a document (a
+ *         bitmap cannot keep it twice); @p s.out is then unspecified.
+ */
+bool
+mergeDense(const std::vector<PostingList *> &runs, std::size_t count,
+           MergeScratch &s)
+{
+    DocId lo = runs.front()->front();
+    DocId hi = runs.front()->back();
+    for (const PostingList *run : runs) {
+        lo = std::min(lo, run->front());
+        hi = std::max(hi, run->back());
+    }
+    const std::size_t words = ((std::size_t{hi} - lo) >> 6) + 1;
+    if (words > count)
+        return false;
+    s.bits.assign(words, 0);
+    for (const PostingList *run : runs)
+        for (DocId doc : *run)
+            s.bits[(doc - lo) >> 6] |= std::uint64_t{1} << ((doc - lo) & 63);
+    s.out.resize(count);
+    std::size_t n = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+        const DocId base = lo + static_cast<DocId>(w << 6);
+        for (std::uint64_t bits = s.bits[w]; bits != 0; bits &= bits - 1)
+            s.out[n++] = base + static_cast<DocId>(std::countr_zero(bits));
+    }
+    return n == count;
+}
+
+/**
+ * Merge the sorted @p runs (@p count documents in all) into @p s.out:
+ * densely when mergeDense() takes them; else concatenated, which is
+ * already the answer when each run starts above its predecessor's
+ * last document (live compaction: base, then deltas on ever higher
+ * DocIds); else adjacent runs merged pairwise, bottom up, ping-ponging
+ * through @p s.tmp.
+ */
+void
+mergeRuns(const std::vector<PostingList *> &runs, std::size_t count,
+          MergeScratch &s)
+{
+    if (mergeDense(runs, count, s))
+        return;
+    s.out.clear();
+    s.bounds.assign(1, 0);
+    bool ordered = true;
+    for (const PostingList *run : runs) {
+        if (!s.out.empty() && run->front() <= s.out.back())
+            ordered = false;
+        s.out.insert(s.out.end(), run->begin(), run->end());
+        s.bounds.push_back(s.out.size());
+    }
+    if (ordered)
+        return;
+    std::vector<std::size_t> &bounds = s.bounds;
+    s.tmp.resize(s.out.size());
+    while (bounds.size() > 2) {
+        // Pair runs (r, r+1); an odd last run is copied through.
+        std::size_t kept = 1;
+        for (std::size_t r = 0; r + 1 < bounds.size(); r += 2) {
+            const std::size_t lo = bounds[r];
+            const std::size_t mid = bounds[r + 1];
+            const std::size_t hi =
+                r + 2 < bounds.size() ? bounds[r + 2] : mid;
+            std::merge(s.out.begin() + lo, s.out.begin() + mid,
+                       s.out.begin() + mid, s.out.begin() + hi,
+                       s.tmp.begin() + lo);
+            bounds[kept++] = hi;
+        }
+        bounds.resize(kept);
+        s.out.swap(s.tmp);
+    }
+}
+
+/**
+ * Merge and pack share @p share of @p shares: every term whose cached
+ * hash falls in this share, in every lane. A term is handled where it
+ * is first seen (the lowest lane holding it), which gathers its lists
+ * from that lane and all later ones and then empties them; unsorted
+ * lane lists (work stealing, size-balanced and shared-locked builds)
+ * are sorted in place first. Terms with no postings left — already
+ * packed, or removeDoc() leftovers — are skipped, so empty lists never
+ * reach the segment, as a single-index seal always did.
+ */
+void
+packShare(std::vector<InvertedIndex> &lanes, std::size_t share,
+          std::size_t shares, PostingCodec codec, PackedShare &out)
+{
+    std::vector<PostingList *> runs;
+    MergeScratch scratch;
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+        lanes[i].forEachHashedTerm([&](std::uint64_t hash,
+                                       const std::string &term,
+                                       PostingList &first) {
+            if (hash % shares != share)
+                return;
+            runs.clear();
+            std::size_t count = 0;
+            for (std::size_t j = i; j < lanes.size(); ++j) {
+                PostingList *list = j == i
+                    ? &first
+                    : lanes[j].postingsHashed(hash, term);
+                if (list == nullptr || list->empty())
+                    continue;
+                if (!std::is_sorted(list->begin(), list->end()))
+                    std::sort(list->begin(), list->end());
+                runs.push_back(list);
+                count += list->size();
+            }
+            if (count == 0)
+                return;
+            const DocId *docs = runs.front()->data();
+            if (runs.size() > 1) {
+                mergeRuns(runs, count, scratch);
+                docs = scratch.out.data();
+            }
+
+            PackedShare::Term packed;
+            packed.key = &term;
+            packed.entry.offset = out.arena.size();
+            packed.entry.skip_begin =
+                static_cast<std::uint32_t>(out.skips.size());
+            if (codec == PostingCodec::Packed)
+                encodePostingsPacked(docs, count, out.arena, out.skips);
             else
-                encodePostings(list.data(), list.size(), segment._arena,
-                               segment._skips);
-            entry.bytes = static_cast<std::uint32_t>(
-                segment._arena.size() - entry.offset);
-            entry.count = static_cast<std::uint32_t>(list.size());
-            entry.skip_count = static_cast<std::uint32_t>(
-                segment._skips.size() - entry.skip_begin);
-            segment._terms.insert(term, entry);
-        });
+                encodePostings(docs, count, out.arena, out.skips);
+            packed.entry.bytes = static_cast<std::uint32_t>(
+                out.arena.size() - packed.entry.offset);
+            packed.entry.count = static_cast<std::uint32_t>(count);
+            packed.entry.skip_count = static_cast<std::uint32_t>(
+                out.skips.size() - packed.entry.skip_begin);
+            out.terms.push_back(packed);
 
+            // Free the consumed lists on this thread, so dropping the
+            // lanes afterwards is not a serial tail. Emptying them also
+            // marks the term done: later lanes' visits find nothing.
+            for (PostingList *run : runs)
+                PostingList().swap(*run);
+        });
+    }
+}
+
+} // namespace
+
+PostingSegment
+PostingSegment::build(std::vector<InvertedIndex> &&lanes,
+                      std::size_t threads, PostingCodec codec,
+                      SealTimes *times)
+{
+    std::vector<InvertedIndex> source = std::move(lanes);
+    const std::size_t shares = std::max<std::size_t>(1, threads);
+
+    // Merge and pack: share t on thread t (share 0 on the caller). A
+    // share's exception is carried out and rethrown once every
+    // thread has joined, so no thread outlives the lanes.
+    Timer merge_timer;
+    std::vector<PackedShare> packed(shares);
+    std::vector<std::exception_ptr> errors(shares);
+    auto pack = [&](std::size_t t) {
+        try {
+            packShare(source, t, shares, codec, packed[t]);
+        } catch (...) {
+            errors[t] = std::current_exception();
+        }
+    };
+    {
+        std::vector<std::jthread> workers;
+        workers.reserve(shares - 1);
+        for (std::size_t t = 1; t < shares; ++t)
+            workers.emplace_back(pack, t);
+        pack(0);
+    } // jthreads join here, on every path
+    for (const std::exception_ptr &error : errors)
+        if (error)
+            std::rethrow_exception(error);
+    if (times != nullptr)
+        times->merge = merge_timer.elapsedSec();
+
+    // Assemble: the shares' arenas back to back, entries rebased by
+    // addSealedTerm(); then the cached lexicographic order.
+    Timer assemble_timer;
+    std::size_t terms = 0, arena_bytes = 0, skip_entries = 0;
+    for (const PackedShare &share : packed) {
+        terms += share.terms.size();
+        arena_bytes += share.arena.size();
+        skip_entries += share.skips.size();
+    }
+    PostingSegment segment;
+    segment._codec = codec;
+    segment.reserveSealed(terms, arena_bytes, skip_entries);
+    for (const PackedShare &share : packed) {
+        for (const PackedShare::Term &term : share.terms) {
+            const TermEntry &e = term.entry;
+            segment.addSealedTerm(*term.key, e.count,
+                                  share.arena.data() + e.offset, e.bytes,
+                                  share.skips.data() + e.skip_begin,
+                                  e.skip_count);
+        }
+    }
     segment.finishSealed();
+    if (times != nullptr)
+        times->assemble = assemble_timer.elapsedSec();
     return segment; // `source` (the uncompressed postings) dies here
 }
 
@@ -169,10 +361,18 @@ SegmentReader::termDocCount(std::string_view term) const
 IndexSnapshot
 IndexSnapshot::seal(InvertedIndex &&index, PostingCodec codec)
 {
-    IndexSnapshot snapshot;
-    snapshot._segments.push_back(std::make_shared<PostingSegment>(
-        PostingSegment::build(std::move(index), codec)));
-    return snapshot;
+    std::vector<InvertedIndex> lanes;
+    lanes.push_back(std::move(index));
+    return sealMerged(std::move(lanes), 1, codec);
+}
+
+IndexSnapshot
+IndexSnapshot::sealMerged(std::vector<InvertedIndex> &&lanes,
+                          std::size_t threads, PostingCodec codec,
+                          SealTimes *times)
+{
+    return fromSealed(PostingSegment::build(std::move(lanes), threads,
+                                            codec, times));
 }
 
 IndexSnapshot
@@ -182,8 +382,8 @@ IndexSnapshot::seal(std::vector<InvertedIndex> &&replicas,
     IndexSnapshot snapshot;
     snapshot._segments.reserve(replicas.size());
     for (InvertedIndex &replica : replicas) {
-        snapshot._segments.push_back(std::make_shared<PostingSegment>(
-            PostingSegment::build(std::move(replica), codec)));
+        snapshot._segments.push_back(
+            seal(std::move(replica), codec)._segments.front());
     }
     replicas.clear();
     return snapshot;

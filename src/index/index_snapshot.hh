@@ -9,15 +9,19 @@
  * immutable PostingSegment whose per-term access is a PostingCursor.
  *
  * A PostingSegment is not the build-side hash-map-of-vectors: sealing
- * sorts every posting list, delta + varint block-encodes it (see
- * posting_block.hh) into one contiguous per-segment arena — a single
- * allocation holding every term's blocks back to back — and drops the
- * per-term heap vectors. The term table maps term -> {offset, byte
- * length, count, skip range}; the segment also caches its terms in
- * lexicographic order so serialization and ordered iteration never
- * re-sort. The build-side InvertedIndex stays uncompressed, so
- * Stage-3 insert throughput is untouched; only sealed, read-only data
- * pays the (en-masse, cache-friendly) encode.
+ * merges each term's lists from one or more build-side indices into
+ * one sorted list, block-encodes it (see posting_block.hh) into one
+ * contiguous per-segment arena — every term's blocks back to back —
+ * and drops the per-term heap vectors. The merge and the encode run
+ * term-partitioned on several threads (PostingSegment::build), which
+ * is how Implementation 2's "Join Forces" step now happens: its
+ * replicas are never concatenated into one mutable index first. The
+ * term table maps term -> {offset, byte length, count, skip range};
+ * the segment also caches its terms in lexicographic order so
+ * serialization and ordered iteration never re-sort. The build-side
+ * InvertedIndex stays uncompressed, so Stage-3 insert throughput is
+ * untouched; only sealed, read-only data pays the (en-masse,
+ * cache-friendly) encode.
  *
  *  - Joined organizations seal to a single segment; Searcher and
  *    RankedSearcher require that (unified()).
@@ -44,6 +48,16 @@
 #include "index/posting_cursor.hh"
 
 namespace dsearch {
+
+/** Where a merge-and-pack seal (PostingSegment::build) spent its time. */
+struct SealTimes
+{
+    /** Wall seconds of the parallel k-way merge + block packing. */
+    double merge = 0.0;
+
+    /** Wall seconds assembling the shares into the segment. */
+    double assemble = 0.0;
+};
 
 /**
  * One sealed segment: every term's postings block-compressed into a
@@ -74,14 +88,33 @@ class PostingSegment
     PostingSegment &operator=(const PostingSegment &) = delete;
 
     /**
-     * Seal @p index: sort its posting lists, encode every term into
-     * the arena (sized exactly in a first pass, so the arena is one
-     * allocation), and cache the lexicographic term order. The index
-     * is consumed. Fresh seals default to the bit-packed codec; the
-     * varint option exists for the v2 writer and A/B benching.
+     * Merge-and-pack seal of @p lanes into one segment — the only
+     * seal path; a single index is the k = 1 case.
+     *
+     * @p threads threads each own the terms whose cached hash falls
+     * in their share (hash % threads). For each owned term a thread
+     * k-way merges the term's lists from every lane — sorting a lane
+     * list in place only when it is not already sorted — and packs
+     * the merged list straight into a private arena plus skip
+     * entries. Skip offsets are term-relative, so the per-thread
+     * arenas then concatenate into the segment with only the term
+     * entries rebased (reserveSealed / addSealedTerm / finishSealed).
+     * The bytes are identical to sorting the concatenated lists and
+     * encoding them, whatever the lane split or thread count.
+     *
+     * @param lanes   Indices to merge (consumed). Their document sets
+     *                should be disjoint, as the generator's lanes are;
+     *                a document in two lanes is kept twice.
+     * @param threads Merge-and-pack threads (0 is taken as 1).
+     * @param codec   Block codec; fresh seals default to the
+     *                bit-packed one, varint exists for the v2 writer
+     *                and A/B benching.
+     * @param times   When non-null, receives the phase split.
      */
-    static PostingSegment build(InvertedIndex &&index,
-                                PostingCodec codec = PostingCodec::Packed);
+    static PostingSegment build(std::vector<InvertedIndex> &&lanes,
+                                std::size_t threads = 1,
+                                PostingCodec codec = PostingCodec::Packed,
+                                SealTimes *times = nullptr);
 
     /** @return The block codec this segment's postings use. */
     PostingCodec codec() const { return _codec; }
@@ -163,8 +196,9 @@ class PostingSegment
     const std::vector<SkipEntry> &skips() const { return _skips; }
 
     // ------------------------------------------------------------------
-    // Loader interface (serialize.cc, v2 files): a segment is
-    // assembled term by term from on-disk blocks, then finished.
+    // Assembly interface (the snapshot loaders and build()'s final
+    // step): a segment is assembled term by term from blocks encoded
+    // elsewhere, then finished.
     // ------------------------------------------------------------------
 
     /** Pre-size the arenas and term table (one allocation each). */
@@ -172,9 +206,9 @@ class PostingSegment
                        std::size_t skip_entries);
 
     /**
-     * Append one term whose blocks were encoded elsewhere (the v2
-     * loader; bytes/skips are validated against posting_block.hh's
-     * layout before this is called).
+     * Append one term whose blocks were encoded elsewhere (a
+     * merge-and-pack share, or the loader after validating bytes and
+     * skips against posting_block.hh's layout).
      *
      * @return False when the term already exists (corrupt input).
      */
@@ -296,12 +330,24 @@ class IndexSnapshot
     IndexSnapshot() = default;
 
     /**
-     * Seal one index into a single-segment snapshot: sort, block-
-     * compress into the segment arena (bit-packed by default), drop
-     * the build-side vectors.
+     * Seal one index into a single-segment snapshot: sort the lists
+     * that are not sorted, block-compress into the segment arena
+     * (bit-packed by default), drop the build-side vectors. This is
+     * the k = 1, one-thread case of sealMerged().
      */
     static IndexSnapshot seal(InvertedIndex &&index,
                               PostingCodec codec = PostingCodec::Packed);
+
+    /**
+     * Merge @p lanes into one single-segment snapshot with @p threads
+     * merge-and-pack threads (PostingSegment::build). The result is
+     * byte-identical to seal(joinSequential(lanes)).
+     */
+    static IndexSnapshot sealMerged(std::vector<InvertedIndex> &&lanes,
+                                    std::size_t threads,
+                                    PostingCodec codec
+                                    = PostingCodec::Packed,
+                                    SealTimes *times = nullptr);
 
     /**
      * Seal a replica set, one segment per replica (empty replicas

@@ -65,6 +65,12 @@ InvertedIndex::postings(std::string_view term) const
     return _map.find(term);
 }
 
+PostingList *
+InvertedIndex::postingsHashed(std::uint64_t hash, std::string_view term)
+{
+    return _map.findHashed(hash, term);
+}
+
 void
 InvertedIndex::clear()
 {

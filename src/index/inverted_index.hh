@@ -18,9 +18,11 @@
  * hash the extractor computed, and every insert path hands that hash
  * to the map (findOrEmplaceHashed), so Stage 3 never re-hashes a term
  * and only materializes a std::string key the first time a term is
- * seen globally. merge() — the Join Forces step — likewise moves
- * slots between maps with their cached hashes, so a term is hashed
- * exactly once in the lifetime of a build, in the extractor.
+ * seen globally. merge() — the concatenating join behind
+ * joinSequential/joinParallel — likewise moves slots between maps
+ * with their cached hashes, and the merge-and-pack seal partitions
+ * and probes lanes by them, so a term is hashed once in the build,
+ * by the scanner, and again only when the sealed term table is made.
  *
  * The class itself is single-threaded; concurrent use is coordinated
  * by SharedIndex (Implementation 1) or by giving each thread a private
@@ -133,7 +135,9 @@ class InvertedIndex
     InvertedIndex clone() const;
 
     /**
-     * Merge another index into this one (the "Join Forces" step).
+     * Merge another index into this one (the concatenating join;
+     * Implementation 2's seal merges lanes without it, see
+     * PostingSegment::build).
      *
      * Posting lists for shared terms are concatenated; when document
      * sets were disjoint (as in the generator, where each file is
@@ -180,6 +184,30 @@ class InvertedIndex
         for (const auto &slot : _map)
             fn(slot.key, slot.value);
     }
+
+    /**
+     * Visit every term with its cached hash and a mutable posting
+     * list: (std::uint64_t hash, const std::string &, PostingList &).
+     * The seal path sorts a list in place when it is unsorted and
+     * frees it once packed; keys and hashes stay read-only, so
+     * threads that each touch only the lists of the terms they own
+     * never race (hash order).
+     */
+    template <typename Fn>
+    void
+    forEachHashedTerm(Fn &&fn)
+    {
+        for (auto &slot : _map)
+            fn(std::uint64_t{slot.hash}, std::as_const(slot.key),
+               slot.value);
+    }
+
+    /**
+     * postings() with the caller's cached hash and a mutable list
+     * (the seal path's cross-lane probe); nullptr when unknown.
+     */
+    PostingList *postingsHashed(std::uint64_t hash,
+                                std::string_view term);
 
     /** Pre-size the term table for @p expected_terms entries. */
     void reserveTerms(std::size_t expected_terms);

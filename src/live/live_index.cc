@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "index/index_backend.hh"
-#include "index/index_join.hh"
 #include "text/term_extractor.hh"
 #include "util/fault.hh"
 #include "util/logging.hh"
@@ -17,7 +16,8 @@ namespace {
  * Decode a sealed snapshot back into a mutable index, dropping
  * tombstoned postings — the read half of compaction. Deltas are tiny
  * and the base decodes at hundreds of M postings/s, so materializing
- * is cheap next to the join + re-seal that follows.
+ * is cheap next to the merge-and-pack seal that follows. Each term's
+ * list comes out sorted, so that seal only merges.
  */
 InvertedIndex
 materialize(const IndexSnapshot &snapshot, const DocSet &tombstones)
@@ -372,10 +372,10 @@ LiveIndex::mergeAttempt(const MergeInput &input, IndexSnapshot &out)
     for (const PendingDelta &delta : input.deltas)
         parts.push_back(materialize(delta.index, input.tombstones));
 
-    InvertedIndex joined = _options.join_threads > 1
-        ? joinParallel(std::move(parts), _options.join_threads)
-        : joinSequential(std::move(parts));
-    out = IndexSnapshot::seal(std::move(joined));
+    // Every materialized lane is already sorted (decoded in cursor
+    // order), so the merge-and-pack seal never sorts here.
+    out = IndexSnapshot::sealMerged(std::move(parts),
+                                    _options.join_threads);
     return true;
 }
 

@@ -17,8 +17,9 @@
  *    an atomic hot-swap, zero query downtime.
  *  - The *merger* thread wakes when enough deltas accumulate,
  *    compacts base + deltas into a fresh unified base (decoding the
- *    sealed segments, dropping tombstoned postings, joining via
- *    index_join), persists the result crash-safely through
+ *    sealed segments, dropping tombstoned postings, and merging
+ *    them term by term into one segment with the merge-and-pack seal
+ *    the paper build uses), persists the result crash-safely through
  *    SnapshotStore, and publishes. Merging runs outside the state
  *    lock: delta building and query serving continue while it works.
  *
@@ -89,7 +90,7 @@ struct LiveIndexOptions
     /** Seconds between background scan cycles. */
     double scan_interval_sec = 0.05;
 
-    /** Join threads for compaction (1 = sequential join). */
+    /** Merge-and-pack threads for compaction (0 is taken as 1). */
     std::size_t join_threads = 1;
 };
 

@@ -78,9 +78,10 @@ TermExtractor::extract(const FileEntry &file, TermBlock &block)
         std::fill(_dedup.begin(), _dedup.end(), 0);
     std::size_t mask = _dedup.size() - 1;
 
-    _tokenizer.forEachToken(_content, [&](std::string_view term) {
+    // The scanner hands over each term's hash with the term itself.
+    _tokenizer.forEachToken(_content, [&](std::string_view term,
+                                          std::uint64_t hash) {
         ++_stats.tokens;
-        const std::uint64_t hash = fnv1a_64(term);
 
         // Probe the block in place: hashes from the spans, bytes from
         // the arena. No std::string is ever materialized here.

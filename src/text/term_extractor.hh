@@ -10,12 +10,14 @@
  * duplicate scan and cuts buffering and locking operations.
  *
  * TermBlock is a flat arena: one contiguous char buffer plus
- * offset/length spans, each span carrying the term's precomputed
- * FNV-1a hash. A block therefore moves through the BlockingQueue as
- * two buffer moves instead of one move per term, and Stage 3 (and the
- * Join Forces step) reuse the hashes instead of hashing every term
- * again. Deduplication probes the arena in place — the only per-term
- * copy in the entire pipeline is the first-sight append to the arena.
+ * offset/length spans, each span carrying the term's FNV-1a hash —
+ * the one the tokenizer computed while scanning the term, so even
+ * deduplication hashes nothing. A block therefore moves through the
+ * BlockingQueue as two buffer moves instead of one move per term, and
+ * Stage 3 (and the Join Forces step) reuse the hashes instead of
+ * hashing every term again. Deduplication probes the arena in place
+ * — the only per-term copy in the entire pipeline is the first-sight
+ * append to the arena.
  *
  * The immediate mode (extractOccurrences) keeps every occurrence; it
  * exists to measure the alternative the paper rejected (ablation E7).

@@ -36,6 +36,26 @@ TEST(Engine, DefaultBuildIsSequentialUnified)
     EXPECT_EQ(result.extraction.files, 2u);
 }
 
+TEST(Engine, StageTimesPartsFitInsideTheTotal)
+{
+    auto fs = CorpusGenerator(CorpusSpec::tiny(4)).generateInMemory();
+    for (const Config &cfg :
+         {Config::sequential(), Config::sharedLocked(3),
+          Config::replicatedJoin(3, 0, 2), Config::replicatedJoin(2, 2, 1),
+          Config::replicatedNoJoin(3)}) {
+        Engine::Result built = Engine::open(*fs, "/").config(cfg).build();
+        const StageTimes &t = built.times;
+        // The seal is timed, and inside the total with every other
+        // (non-overlapping, Stage 1 not pipelined) phase.
+        EXPECT_GT(t.seal, 0.0) << cfg.describe();
+        EXPECT_GE(t.join, 0.0) << cfg.describe();
+        EXPECT_LE(t.filename_generation + t.read_and_extract
+                      + t.index_update + t.join + t.seal,
+                  t.total)
+            << cfg.describe();
+    }
+}
+
 TEST(Engine, FluentKnobsReachTheConfig)
 {
     MemoryFs fs;
