@@ -88,9 +88,9 @@ Engine::build() const
         cfg.joiners = 1;
 
     IndexGenerator generator(*_fs, _root, cfg, _opts);
-    BuildResult built;
+    BuildResult built = generator.build(BuildOutput::Snapshot);
     Result result;
-    result.snapshot = generator.buildSealed(built);
+    result.snapshot = std::move(built.snapshot);
     result.config = built.config;
     result.docs = std::move(built.docs);
     result.times = built.times;

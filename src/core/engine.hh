@@ -15,8 +15,9 @@
  *
  * The facade drives IndexGenerator (which in turn drives Stage 3
  * through the pluggable IndexBackend) and seals the outcome through
- * the backend (IndexGenerator::buildSealed; Implementation 2 merges
- * and packs its replicas on z threads straight into the segment), so
+ * the backend (IndexGenerator::build(BuildOutput::Snapshot);
+ * Implementation 2 merges and packs its replicas on z threads
+ * straight into the segment), so
  * callers never touch a mutable InvertedIndex: joined organizations
  * yield a unified snapshot for Searcher/RankedSearcher, while
  * Implementation 3 yields one segment per replica for MultiSearcher.

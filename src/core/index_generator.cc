@@ -31,7 +31,8 @@ BuildResult::primary() const
 IndexSnapshot
 BuildResult::sealIndices()
 {
-    return IndexSnapshot::seal(std::move(indices));
+    snapshot = IndexSnapshot::seal(std::move(indices));
+    return snapshot;
 }
 
 IndexGenerator::IndexGenerator(const FileSystem &fs, std::string root,
@@ -42,26 +43,18 @@ IndexGenerator::IndexGenerator(const FileSystem &fs, std::string root,
 }
 
 BuildResult
-IndexGenerator::build()
+IndexGenerator::build(BuildOutput output)
 {
     BuildResult result;
     Timer total;
     std::unique_ptr<IndexBackend> backend = runStages(result);
-    result.indices = backend->release(&result.times.join);
+    if (output == BuildOutput::Snapshot)
+        result.snapshot =
+            backend->sealed(&result.times.join, &result.times.seal);
+    else
+        result.indices = backend->release(&result.times.join);
     result.times.total = total.elapsedSec();
     return result;
-}
-
-IndexSnapshot
-IndexGenerator::buildSealed(BuildResult &result)
-{
-    result = BuildResult();
-    Timer total;
-    std::unique_ptr<IndexBackend> backend = runStages(result);
-    IndexSnapshot snapshot =
-        backend->sealed(&result.times.join, &result.times.seal);
-    result.times.total = total.elapsedSec();
-    return snapshot;
 }
 
 std::unique_ptr<IndexBackend>

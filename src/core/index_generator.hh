@@ -17,12 +17,13 @@
  *  - ReplicatedJoin (Implementation 2): as above but each updater (or
  *    extractor when y = 0) owns a private index; after a barrier the
  *    replicas are joined by z threads ("Join Forces"). The join is
- *    fused with the seal: buildSealed() has the z threads each k-way
- *    merge a share of the terms across all replicas and pack it
- *    straight into compressed blocks (PostingSegment::build), so no
- *    concatenated index is built and no merged list is re-sorted.
- *    build(), which hands out mutable indices, still joins with the
- *    joinParallel reduction.
+ *    fused with the seal: build(BuildOutput::Snapshot) has the z
+ *    threads each k-way merge a share of the terms across all
+ *    replicas and pack it straight into compressed blocks
+ *    (PostingSegment::build), so no concatenated index is built and
+ *    no merged list is re-sorted. build(BuildOutput::Indices), which
+ *    hands out mutable indices, still joins with the joinParallel
+ *    reduction.
  *  - ReplicatedNoJoin (Implementation 3): same, but the replicas are
  *    kept and queried in parallel (see search/multi_searcher.hh).
  *
@@ -60,6 +61,18 @@ namespace dsearch {
 
 class IndexBackend;
 
+/** How IndexGenerator::build() finalizes the index it built. */
+enum class BuildOutput
+{
+    /** Release mutable indices (joined by joinParallel, if at all). */
+    Indices,
+    /**
+     * Seal through the backend (IndexBackend::sealed) into an
+     * immutable snapshot — Engine::build()'s path.
+     */
+    Snapshot,
+};
+
 /** Everything a build run produces. */
 struct BuildResult
 {
@@ -70,10 +83,18 @@ struct BuildResult
     DocTable docs;
 
     /**
-     * The built index (one entry), or the unjoined replicas
-     * (Implementation 3: replicaCount() entries, some possibly empty).
+     * BuildOutput::Indices: the built index (one entry), or the
+     * unjoined replicas (Implementation 3: replicaCount() entries,
+     * some possibly empty). Empty for BuildOutput::Snapshot.
      */
     std::vector<InvertedIndex> indices;
+
+    /**
+     * BuildOutput::Snapshot: the sealed index (unified for joined
+     * organizations, one segment per replica for Implementation 3).
+     * Empty for BuildOutput::Indices until sealIndices() fills it.
+     */
+    IndexSnapshot snapshot;
 
     /** Stage timing breakdown. */
     StageTimes times;
@@ -87,10 +108,11 @@ struct BuildResult
 
     /**
      * Move the built indices into an immutable IndexSnapshot (one
-     * segment per index; postings canonicalized). `indices` is left
-     * empty; everything else in the result stays valid. This is what
-     * Engine::build() returns — call it directly when using the
-     * generator but querying through the snapshot API.
+     * segment per index; postings canonicalized), store it in
+     * `snapshot` and return a copy (segments are shared, not copied).
+     * `indices` is left empty; everything else in the result stays
+     * valid. Use it to query a BuildOutput::Indices build through the
+     * snapshot API after inspecting the raw indices.
      */
     IndexSnapshot sealIndices();
 };
@@ -111,21 +133,21 @@ class IndexGenerator
                    TokenizerOptions opts = {});
 
     /**
-     * Run the build once and release the raw indices (the join, if
-     * any, is the joinParallel reduction; nothing is sealed).
+     * Run the build once and finalize it as @p output asks:
+     *
+     *  - Indices: release the raw indices into `indices` (the join,
+     *    if any, is the joinParallel reduction; nothing is sealed,
+     *    times.seal stays 0).
+     *  - Snapshot: seal through the backend (IndexBackend::sealed)
+     *    into `snapshot`; Implementation 2 merges and packs its
+     *    replicas straight into one segment, with no concatenated
+     *    index in between. times.seal and times.total include the
+     *    seal. This is the build Engine::build() runs, and the one
+     *    to time when comparing configurations.
+     *
      * Reentrant; each call is independent.
      */
-    BuildResult build();
-
-    /**
-     * Run the build once and seal it through the backend
-     * (IndexBackend::sealed): Implementation 2 merges and packs its
-     * replicas straight into one segment, with no concatenated index
-     * in between. @p result receives everything but the indices
-     * (left empty); times.seal and times.total include the seal.
-     * This is Engine::build()'s path.
-     */
-    IndexSnapshot buildSealed(BuildResult &result);
+    BuildResult build(BuildOutput output = BuildOutput::Indices);
 
     /**
      * The paper's Table 1 measurement: time (a) filename generation,

@@ -17,12 +17,12 @@ namespace dsearch {
  * finished; update for the extra drain time after that).
  *
  * `join` and `seal` split the work after Stage 3. For Implementation
- * 2 sealed through Engine::build (IndexGenerator::buildSealed), the
- * join is fused with the seal: `join` is the parallel merge portion
+ * 2 sealed through Engine::build (BuildOutput::Snapshot), the join
+ * is fused with the seal: `join` is the parallel merge portion
  * (the z threads' k-way merge and block packing) and `seal` the
  * assembly of their shares into the segment. Other organizations
  * report their own join step, if any, in `join` and the encode in
- * `seal`. IndexGenerator::build(), which returns mutable indices and
+ * `seal`. BuildOutput::Indices, which returns mutable indices and
  * does not seal, leaves `seal` at 0 and times the joinParallel
  * reduction in `join`. `total` covers everything, seal included, so
  * the parts never sum to more than it.

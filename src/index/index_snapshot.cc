@@ -1,7 +1,6 @@
 #include "index/index_snapshot.hh"
 
 #include <algorithm>
-#include <bit>
 #include <exception>
 #include <thread>
 
@@ -41,70 +40,21 @@ struct MergeScratch
 {
     std::vector<DocId> out, tmp;
     std::vector<std::size_t> bounds;
-    std::vector<std::uint64_t> bits;
 };
 
 /**
- * Dense merge: mark every document of @p runs in a bitmap over their
- * range, then read the set bits back in order — linear, with no
- * comparisons. Taken when the bitmap has no more words than the runs
- * have documents (the frequent terms, which hold most postings).
- *
- * @return False when the runs are too sparse, or share a document (a
- *         bitmap cannot keep it twice); @p s.out is then unspecified.
- */
-bool
-mergeDense(const std::vector<PostingList *> &runs, std::size_t count,
-           MergeScratch &s)
-{
-    DocId lo = runs.front()->front();
-    DocId hi = runs.front()->back();
-    for (const PostingList *run : runs) {
-        lo = std::min(lo, run->front());
-        hi = std::max(hi, run->back());
-    }
-    const std::size_t words = ((std::size_t{hi} - lo) >> 6) + 1;
-    if (words > count)
-        return false;
-    s.bits.assign(words, 0);
-    for (const PostingList *run : runs)
-        for (DocId doc : *run)
-            s.bits[(doc - lo) >> 6] |= std::uint64_t{1} << ((doc - lo) & 63);
-    s.out.resize(count);
-    std::size_t n = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-        const DocId base = lo + static_cast<DocId>(w << 6);
-        for (std::uint64_t bits = s.bits[w]; bits != 0; bits &= bits - 1)
-            s.out[n++] = base + static_cast<DocId>(std::countr_zero(bits));
-    }
-    return n == count;
-}
-
-/**
- * Merge the sorted @p runs (@p count documents in all) into @p s.out:
- * densely when mergeDense() takes them; else concatenated, which is
- * already the answer when each run starts above its predecessor's
- * last document (live compaction: base, then deltas on ever higher
- * DocIds); else adjacent runs merged pairwise, bottom up, ping-ponging
- * through @p s.tmp.
+ * Merge the sorted @p runs into @p s.out: concatenate them, then merge
+ * adjacent runs pairwise, bottom up, ping-ponging through @p s.tmp.
  */
 void
-mergeRuns(const std::vector<PostingList *> &runs, std::size_t count,
-          MergeScratch &s)
+mergeRuns(const std::vector<PostingList *> &runs, MergeScratch &s)
 {
-    if (mergeDense(runs, count, s))
-        return;
     s.out.clear();
     s.bounds.assign(1, 0);
-    bool ordered = true;
     for (const PostingList *run : runs) {
-        if (!s.out.empty() && run->front() <= s.out.back())
-            ordered = false;
         s.out.insert(s.out.end(), run->begin(), run->end());
         s.bounds.push_back(s.out.size());
     }
-    if (ordered)
-        return;
     std::vector<std::size_t> &bounds = s.bounds;
     s.tmp.resize(s.out.size());
     while (bounds.size() > 2) {
@@ -164,7 +114,7 @@ packShare(std::vector<InvertedIndex> &lanes, std::size_t share,
                 return;
             const DocId *docs = runs.front()->data();
             if (runs.size() > 1) {
-                mergeRuns(runs, count, scratch);
+                mergeRuns(runs, scratch);
                 docs = scratch.out.data();
             }
 
@@ -230,7 +180,8 @@ PostingSegment::build(std::vector<InvertedIndex> &&lanes,
         times->merge = merge_timer.elapsedSec();
 
     // Assemble: the shares' arenas back to back, entries rebased by
-    // addSealedTerm(); then the cached lexicographic order.
+    // addSealedTerm(), each share freed once copied (so at most one
+    // share's bytes exist twice); then the cached lexicographic order.
     Timer assemble_timer;
     std::size_t terms = 0, arena_bytes = 0, skip_entries = 0;
     for (const PackedShare &share : packed) {
@@ -241,7 +192,7 @@ PostingSegment::build(std::vector<InvertedIndex> &&lanes,
     PostingSegment segment;
     segment._codec = codec;
     segment.reserveSealed(terms, arena_bytes, skip_entries);
-    for (const PackedShare &share : packed) {
+    for (PackedShare &share : packed) {
         for (const PackedShare::Term &term : share.terms) {
             const TermEntry &e = term.entry;
             segment.addSealedTerm(*term.key, e.count,
@@ -249,6 +200,7 @@ PostingSegment::build(std::vector<InvertedIndex> &&lanes,
                                   share.skips.data() + e.skip_begin,
                                   e.skip_count);
         }
+        share = PackedShare();
     }
     segment.finishSealed();
     if (times != nullptr)

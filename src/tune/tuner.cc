@@ -56,7 +56,7 @@ RealCostEvaluator::evaluate(const Config &cfg)
     double sum = 0.0;
     for (unsigned r = 0; r < _repeats; ++r) {
         IndexGenerator generator(_fs, _root, cfg, _opts);
-        sum += generator.build().times.total;
+        sum += generator.build(BuildOutput::Snapshot).times.total;
     }
     ++_evaluations;
     return sum / static_cast<double>(_repeats);

@@ -68,7 +68,10 @@ class SimCostEvaluator : public CostEvaluator
     Rng _rng;
 };
 
-/** Evaluator that runs the real threaded generator on a corpus. */
+/**
+ * Evaluator that runs the real threaded generator on a corpus and
+ * scores the sealed build Engine::build() performs (seal included).
+ */
 class RealCostEvaluator : public CostEvaluator
 {
   public:

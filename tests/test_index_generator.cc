@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/index_generator.hh"
 #include "fs/corpus.hh"
 #include "index/index_join.hh"
+#include "index/serialize.hh"
 #include "util/logging.hh"
 
 namespace dsearch {
@@ -119,6 +122,31 @@ TEST_F(IndexGeneratorTest, Impl2JoinsToSingleIndex)
     EXPECT_EQ(result.indices.size(), 1u);
     EXPECT_GE(result.times.join, 0.0);
     expectEquivalent(std::move(result));
+}
+
+TEST_F(IndexGeneratorTest, SnapshotOutputSealsWhatIndicesOutputReleases)
+{
+    // One result type, two finalizations: Snapshot fills `snapshot`
+    // (the merge-and-pack seal) and leaves `indices` empty; Indices
+    // does the reverse, and sealing its release gives the same bytes.
+    IndexGenerator generator(*_fs, "/",
+                             Config::replicatedJoin(3, 2, 2));
+    BuildResult sealed = generator.build(BuildOutput::Snapshot);
+    EXPECT_TRUE(sealed.indices.empty());
+    EXPECT_EQ(sealed.snapshot.segmentCount(), 1u);
+    EXPECT_LE(sealed.times.join + sealed.times.seal, sealed.times.total);
+
+    BuildResult released = generator.build(BuildOutput::Indices);
+    EXPECT_EQ(released.snapshot.segmentCount(), 0u);
+    ASSERT_EQ(released.indices.size(), 1u);
+    EXPECT_EQ(released.times.seal, 0.0);
+    released.sealIndices();
+    EXPECT_TRUE(released.indices.empty());
+
+    std::ostringstream a, b;
+    ASSERT_TRUE(saveSnapshot(sealed.snapshot, sealed.docs, a));
+    ASSERT_TRUE(saveSnapshot(released.snapshot, released.docs, b));
+    EXPECT_EQ(a.str(), b.str());
 }
 
 TEST_F(IndexGeneratorTest, Impl3KeepsReplicas)

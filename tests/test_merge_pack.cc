@@ -235,7 +235,7 @@ TEST(MergePack, MatchesSortThenEncodeOracle)
 TEST(MergePack, DocumentsInTwoLanesAreKeptTwiceLikeTheOracle)
 {
     // Lanes are disjoint in every build; a caller that breaks that
-    // still gets the oracle's bytes, on the dense and sparse paths.
+    // still gets the oracle's bytes, for long and short lists.
     const DocTable docs = docTable(300);
     std::vector<InvertedIndex> lanes(3);
     std::vector<DocId> dense, sparse;
