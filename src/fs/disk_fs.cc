@@ -1,9 +1,16 @@
 #include "fs/disk_fs.hh"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
 #include <system_error>
+
+#include <dirent.h>
+#include <fcntl.h>
+#include <sys/stat.h>
 
 #include "util/fault.hh"
 #include "util/logging.hh"
@@ -11,6 +18,31 @@
 namespace dsearch {
 
 namespace stdfs = std::filesystem;
+
+namespace {
+
+/**
+ * A file's modification stamp: nanoseconds since the Unix epoch. The
+ * scan diff only compares stamps, and 0 means "no stamp", so a
+ * pre-1970 time clamps to 1 instead of wrapping.
+ */
+std::uint64_t
+mtimeStamp(const struct stat &st)
+{
+    std::int64_t ns = static_cast<std::int64_t>(st.st_mtim.tv_sec)
+            * 1'000'000'000
+        + st.st_mtim.tv_nsec;
+    return ns <= 0 ? 1 : static_cast<std::uint64_t>(ns);
+}
+
+/** stat() @p host_path; true when it names a regular file. */
+bool
+statFile(const std::string &host_path, struct stat &st)
+{
+    return ::stat(host_path.c_str(), &st) == 0 && S_ISREG(st.st_mode);
+}
+
+} // namespace
 
 DiskFs::DiskFs(std::string root) : _root(std::move(root))
 {
@@ -36,21 +68,34 @@ std::vector<DirEntry>
 DiskFs::list(const std::string &path) const
 {
     std::vector<DirEntry> entries;
-    std::error_code ec;
-    stdfs::directory_iterator it(resolve(path), ec);
-    if (ec) {
-        warn("DiskFs: cannot list '" + path + "': " + ec.message());
+    DIR *dir = ::opendir(resolve(path).c_str());
+    if (dir == nullptr) {
+        warn("DiskFs: cannot list '" + path + "': "
+             + std::generic_category().message(errno));
         return entries;
     }
-    for (const stdfs::directory_entry &de : it) {
-        DirEntry entry;
-        entry.name = de.path().filename().string();
-        entry.is_dir = de.is_directory(ec) && !ec;
-        // Only regular files and directories take part in indexing;
-        // sockets, fifos and devices are skipped.
-        if (entry.is_dir || (de.is_regular_file(ec) && !ec))
-            entries.push_back(std::move(entry));
+    // One lstat per entry, relative to the open directory, yields the
+    // type and a file's size and mtime together, so a walk never stats
+    // a listed path again. lstat does not follow links: a symbolic link
+    // (to a file or a directory) is skipped with the sockets, fifos and
+    // devices, which keeps a linked directory cycle from being walked
+    // forever and a linked file from being indexed under two paths.
+    while (const dirent *de = ::readdir(dir)) {
+        std::string_view name(de->d_name);
+        if (name == "." || name == "..")
+            continue;
+        struct stat st;
+        if (::fstatat(::dirfd(dir), de->d_name, &st, AT_SYMLINK_NOFOLLOW)
+            != 0)
+            continue; // vanished between readdir and lstat
+        if (S_ISDIR(st.st_mode))
+            entries.push_back(DirEntry{std::string(name), true});
+        else if (S_ISREG(st.st_mode))
+            entries.push_back(DirEntry{std::string(name), false,
+                                       static_cast<std::uint64_t>(st.st_size),
+                                       mtimeStamp(st)});
     }
+    ::closedir(dir);
     std::sort(entries.begin(), entries.end(),
               [](const DirEntry &a, const DirEntry &b) {
                   return a.name < b.name;
@@ -75,23 +120,17 @@ DiskFs::isFile(const std::string &path) const
 std::uint64_t
 DiskFs::fileSize(const std::string &path) const
 {
-    std::error_code ec;
-    std::uintmax_t size = stdfs::file_size(resolve(path), ec);
-    return ec ? 0 : static_cast<std::uint64_t>(size);
+    struct stat st;
+    return statFile(resolve(path), st)
+        ? static_cast<std::uint64_t>(st.st_size)
+        : 0;
 }
 
 std::uint64_t
 DiskFs::fileMtime(const std::string &path) const
 {
-    std::error_code ec;
-    stdfs::file_time_type t =
-        stdfs::last_write_time(resolve(path), ec);
-    if (ec)
-        return 0;
-    auto ticks = t.time_since_epoch().count();
-    // Host epochs can predate the clock epoch; the scan diff only
-    // compares stamps for equality/order, so clamp instead of wrap.
-    return ticks <= 0 ? 1 : static_cast<std::uint64_t>(ticks);
+    struct stat st;
+    return statFile(resolve(path), st) ? mtimeStamp(st) : 0;
 }
 
 bool

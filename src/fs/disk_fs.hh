@@ -21,7 +21,9 @@ namespace dsearch {
  * Read-only view of a host directory tree.
  *
  * Virtual path "/a/b.txt" resolves to "<root>/a/b.txt". Listings are
- * sorted by name so document IDs are stable across runs.
+ * sorted by name so document IDs are stable across runs, cost one
+ * lstat per entry, and skip symbolic links (see DirEntry). File
+ * mtimes are nanoseconds since the Unix epoch.
  */
 class DiskFs : public FileSystem
 {

@@ -27,11 +27,23 @@ using DocId = std::uint32_t;
 /** Sentinel for "no document". */
 inline constexpr DocId invalid_doc = static_cast<DocId>(-1);
 
-/** One entry of a directory listing. */
+/**
+ * One entry of a directory listing.
+ *
+ * A listing carries each regular file's metadata, so a walk never
+ * looks a path up again after list() saw it: for a file entry, size
+ * and mtime equal what fileSize() and fileMtime() report for the same
+ * path at listing time. Directory entries carry 0 in both. Only
+ * regular files and directories are listed; symbolic links (to
+ * either), sockets, fifos and devices are skipped, so a walk cannot
+ * loop through a linked directory or index one file under two paths.
+ */
 struct DirEntry
 {
-    std::string name;    ///< Leaf name, no separators.
-    bool is_dir = false; ///< True for subdirectories.
+    std::string name;        ///< Leaf name, no separators.
+    bool is_dir = false;     ///< True for subdirectories.
+    std::uint64_t size = 0;  ///< Files: fileSize(); directories: 0.
+    std::uint64_t mtime = 0; ///< Files: fileMtime(); directories: 0.
 };
 
 /**
@@ -49,7 +61,8 @@ class FileSystem
      * List a directory.
      *
      * Entries are returned in a deterministic (lexicographic) order so
-     * document IDs are stable across runs.
+     * document IDs are stable across runs, with file metadata filled
+     * in (see DirEntry).
      *
      * @param path Directory to list.
      * @return Entries; empty when the path is missing or not a

@@ -100,8 +100,13 @@ MemoryFs::list(const std::string &path) const
     if (node == nullptr || !node->is_dir)
         return entries;
     entries.reserve(node->children.size());
-    for (const auto &[name, child] : node->children)
-        entries.push_back(DirEntry{name, child->is_dir});
+    for (const auto &[name, child] : node->children) {
+        if (child->is_dir)
+            entries.push_back(DirEntry{name, true});
+        else
+            entries.push_back(DirEntry{name, false, child->content.size(),
+                                       child->mtime});
+    }
     return entries;
 }
 

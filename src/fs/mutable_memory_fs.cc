@@ -89,7 +89,9 @@ MutableMemoryFs::list(const std::string &path) const
         rest.remove_prefix(prefix.size());
         std::size_t slash = rest.find('/');
         if (slash == std::string_view::npos) {
-            entries.push_back(DirEntry{std::string(rest), false});
+            entries.push_back(DirEntry{std::string(rest), false,
+                                       it->second.content.size(),
+                                       it->second.mtime});
             ++it;
         } else {
             std::string name(rest.substr(0, slash));

@@ -16,7 +16,7 @@ walk(const FileSystem &fs, const std::string &dir,
         if (entry.is_dir)
             walk(fs, path, visit);
         else
-            visit(path, fs.fileSize(path));
+            visit(path, entry.size);
     }
 }
 

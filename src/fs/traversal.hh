@@ -42,7 +42,8 @@ using FileList = std::vector<FileEntry>;
  *
  * @param fs    Filesystem to walk.
  * @param root  Directory (or single file) to start from.
- * @param visit Called once per regular file with (path, size).
+ * @param visit Called once per regular file with (path, size); the
+ *              size comes from the listing, not another lookup.
  */
 void traverseFiles(const FileSystem &fs, const std::string &root,
                    const std::function<void(const std::string &,

@@ -27,6 +27,7 @@ struct PackedShare
     struct Term
     {
         const std::string *key = nullptr; ///< Owned by an input lane.
+        std::size_t hash = 0;             ///< The lane's cached hash.
         PostingSegment::TermEntry entry;
     };
 
@@ -120,6 +121,7 @@ packShare(std::vector<InvertedIndex> &lanes, std::size_t share,
 
             PackedShare::Term packed;
             packed.key = &term;
+            packed.hash = static_cast<std::size_t>(hash);
             packed.entry.offset = out.arena.size();
             packed.entry.skip_begin =
                 static_cast<std::uint32_t>(out.skips.size());
@@ -195,7 +197,7 @@ PostingSegment::build(std::vector<InvertedIndex> &&lanes,
     for (PackedShare &share : packed) {
         for (const PackedShare::Term &term : share.terms) {
             const TermEntry &e = term.entry;
-            segment.addSealedTerm(*term.key, e.count,
+            segment.addSealedTermHashed(term.hash, *term.key, e.count,
                                   share.arena.data() + e.offset, e.bytes,
                                   share.skips.data() + e.skip_begin,
                                   e.skip_count);
@@ -234,13 +236,26 @@ PostingSegment::addSealedTerm(std::string term, std::uint32_t count,
                               const SkipEntry *skips,
                               std::uint32_t skip_count)
 {
+    std::size_t hash = FnvHash<std::string>{}(term);
+    return addSealedTermHashed(hash, std::move(term), count, bytes,
+                               byte_len, skips, skip_count);
+}
+
+bool
+PostingSegment::addSealedTermHashed(std::size_t hash, std::string term,
+                                    std::uint32_t count,
+                                    const std::uint8_t *bytes,
+                                    std::uint32_t byte_len,
+                                    const SkipEntry *skips,
+                                    std::uint32_t skip_count)
+{
     TermEntry entry;
     entry.offset = _arena.size();
     entry.bytes = byte_len;
     entry.count = count;
     entry.skip_begin = static_cast<std::uint32_t>(_skips.size());
     entry.skip_count = skip_count;
-    if (!_terms.insert(std::move(term), entry))
+    if (!_terms.insertHashed(hash, std::move(term), entry))
         return false;
     _arena.insert(_arena.end(), bytes, bytes + byte_len);
     _skips.insert(_skips.end(), skips, skips + skip_count);

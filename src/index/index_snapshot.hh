@@ -216,6 +216,19 @@ class PostingSegment
                        const std::uint8_t *bytes, std::uint32_t byte_len,
                        const SkipEntry *skips, std::uint32_t skip_count);
 
+    /**
+     * addSealedTerm() with the term's hash already known (a seal
+     * carries each lane's cached hash): the key is moved into the
+     * table and never hashed again. @p hash must equal the term
+     * table's FnvHash of @p term.
+     */
+    bool addSealedTermHashed(std::size_t hash, std::string term,
+                             std::uint32_t count,
+                             const std::uint8_t *bytes,
+                             std::uint32_t byte_len,
+                             const SkipEntry *skips,
+                             std::uint32_t skip_count);
+
     /** Rebuild the cached lexicographic order after addSealedTerm(). */
     void finishSealed();
 

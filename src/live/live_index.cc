@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <chrono>
 
-#include "index/index_backend.hh"
 #include "text/term_extractor.hh"
 #include "util/fault.hh"
 #include "util/logging.hh"
+#include "util/timer.hh"
 
 namespace dsearch {
 
@@ -214,12 +214,16 @@ LiveIndex::killPathLocked(const std::string &path)
 }
 
 bool
-LiveIndex::buildDelta(const std::vector<std::string> &paths)
+LiveIndex::buildDelta(const std::vector<std::string> &paths,
+                      const ScanSnapshot &scan)
 {
+    Timer timer;
     DocId first_doc;
+    std::size_t expected_terms;
     {
         std::scoped_lock lock(_mutex);
         first_doc = static_cast<DocId>(_docs.docCount());
+        expected_terms = _delta_terms;
     }
 
     // Everything below is pure until the commit: an abort (injected
@@ -229,14 +233,16 @@ LiveIndex::buildDelta(const std::vector<std::string> &paths)
     if (faultFires("live.delta_build")) {
         std::scoped_lock lock(_mutex);
         ++_stats.failed_deltas;
+        _stats.delta_seconds += timer.elapsedSec();
         return false;
     }
 
-    Config cfg;
-    cfg.impl = Implementation::Sequential;
-    cfg.extractors = 1;
-    std::unique_ptr<IndexBackend> backend = makeBackend(cfg);
+    // One sequential en-bloc index, presized from the previous
+    // delta's term count: successive deltas of a steady write load
+    // share most of their vocabulary, so the table seldom rehashes.
     TermExtractor extractor(_fs, _tok);
+    InvertedIndex index;
+    index.reserveTerms(expected_terms);
 
     std::vector<FileEntry> entries;
     entries.reserve(paths.size());
@@ -245,16 +251,17 @@ LiveIndex::buildDelta(const std::vector<std::string> &paths)
         FileEntry entry;
         entry.doc = first_doc + static_cast<DocId>(i);
         entry.path = paths[i];
-        entry.size = _fs.fileSize(paths[i]);
+        entry.size = scan.at(paths[i]).size;
         // An unreadable file still occupies its DocId (matching the
         // base build, where Stage 1 lists files Stage 2 then cannot
         // read): it serves as an empty document.
         if (extractor.extract(entry, block))
-            backend->addBlock(std::move(block), 0);
+            index.addBlock(block);
         block.clear();
         entries.push_back(std::move(entry));
     }
-    IndexSnapshot delta = backend->sealed();
+    const std::size_t terms = index.termCount();
+    IndexSnapshot delta = IndexSnapshot::seal(std::move(index));
 
     // Commit.
     std::scoped_lock lock(_mutex);
@@ -262,17 +269,19 @@ LiveIndex::buildDelta(const std::vector<std::string> &paths)
     pending.index = std::move(delta);
     pending.first_doc = first_doc;
     pending.end_doc = first_doc + static_cast<DocId>(entries.size());
-    for (const FileEntry &entry : entries) {
+    for (FileEntry &entry : entries) {
         DocId doc = _docs.add(entry.path, entry.size);
         if (doc != entry.doc)
             panic("LiveIndex: delta DocId assignment raced");
         killPathLocked(entry.path); // supersede any previous version
-        _alive.insert_or_assign(entry.path, doc);
+        _alive.insert_or_assign(std::move(entry.path), doc);
     }
     _deltas.push_back(std::move(pending));
+    _delta_terms = terms;
     ++_stats.deltas_built;
     _stats.delta_docs += entries.size();
     _stats.doc_count = _docs.docCount();
+    _stats.delta_seconds += timer.elapsedSec();
     return true;
 }
 
@@ -317,12 +326,14 @@ LiveIndex::publishLocked()
 bool
 LiveIndex::runCycle()
 {
+    Timer scan_timer;
     ScanSnapshot next;
     if (!scanFileSystem(_fs, _root, next)) {
         // Aborted walk: discard (a partial scan would read as a mass
         // deletion) and retry next cycle from the old baseline.
         std::scoped_lock lock(_mutex);
         ++_stats.failed_scans;
+        _stats.scan_seconds += scan_timer.elapsedSec();
         return false;
     }
 
@@ -330,6 +341,7 @@ LiveIndex::runCycle()
     {
         std::scoped_lock lock(_mutex);
         diff = diffScans(_scan, next);
+        _stats.scan_seconds += scan_timer.elapsedSec();
     }
 
     std::vector<std::string> changed =
@@ -337,7 +349,7 @@ LiveIndex::runCycle()
 
     bool mutated = false;
     if (!changed.empty()) {
-        if (!buildDelta(changed))
+        if (!buildDelta(changed, next))
             return false; // scan baseline unchanged; retried next cycle
         mutated = true;
     }
@@ -351,8 +363,11 @@ LiveIndex::runCycle()
         }
         _scan = std::move(next);
         ++_stats.scans;
-        if (mutated || _publish_pending)
+        if (mutated || _publish_pending) {
+            Timer publish_timer;
             publishLocked();
+            _stats.publish_seconds += publish_timer.elapsedSec();
+        }
         want_merge = shouldCompactLocked();
     }
     if (want_merge)

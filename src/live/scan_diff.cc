@@ -18,8 +18,10 @@ walk(const FileSystem &fs, const std::string &dir, ScanSnapshot &out)
             if (!walk(fs, path, out))
                 return false;
         } else {
-            FileState state{fs.fileSize(path), fs.fileMtime(path)};
-            out.emplace(std::move(path), state);
+            // Walk order is almost path order (only a name sorting
+            // between "d" and "d/..." breaks it): the end is a good hint.
+            out.emplace_hint(out.end(), std::move(path),
+                             FileState{entry.size, entry.mtime});
         }
     }
     return true;

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 
 #include "fs/disk_fs.hh"
+#include "fs/traversal.hh"
+#include "fs_listing_check.hh"
 
 namespace dsearch {
 namespace {
@@ -105,6 +108,81 @@ TEST_F(DiskFsTest, TrailingSlashRootNormalized)
 {
     DiskFs fs(_root.string() + "/");
     EXPECT_TRUE(fs.isFile("/a.txt"));
+}
+
+TEST_F(DiskFsTest, ListingCarriesFileMetadata)
+{
+    write(_root / "sub" / "deeper.txt", "twelve bytes");
+    stdfs::create_directories(_root / "sub" / "empty");
+    DiskFs fs(_root.string());
+    EXPECT_EQ(expectListingMatchesLookups(fs, "/"), 3u);
+    std::vector<DirEntry> entries = fs.list("/");
+    ASSERT_EQ(entries.size(), 2u);
+    EXPECT_EQ(entries[0].size, 13u);
+}
+
+TEST_F(DiskFsTest, MtimeIsHostTimeAndTracksRewrites)
+{
+    DiskFs fs(_root.string());
+    // Nanoseconds since the Unix epoch: within a day of now.
+    const auto now = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                         std::chrono::system_clock::now().time_since_epoch())
+                         .count();
+    const std::uint64_t day = 86'400ull * 1'000'000'000ull;
+    std::uint64_t stamp = fs.fileMtime("/a.txt");
+    EXPECT_GT(stamp + day, static_cast<std::uint64_t>(now));
+    EXPECT_LT(stamp, static_cast<std::uint64_t>(now) + day);
+
+    // A same-size rewrite with a later stamp shows in the listing.
+    stdfs::last_write_time(_root / "a.txt",
+                           stdfs::last_write_time(_root / "a.txt")
+                               + std::chrono::seconds(5));
+    EXPECT_EQ(fs.fileMtime("/a.txt"), stamp + 5'000'000'000ull);
+    EXPECT_EQ(fs.list("/")[0].mtime, stamp + 5'000'000'000ull);
+    EXPECT_EQ(fs.fileMtime("/sub"), 0u);
+    EXPECT_EQ(fs.fileMtime("/nope.txt"), 0u);
+}
+
+TEST_F(DiskFsTest, SymlinksAreNotListed)
+{
+    stdfs::create_symlink(_root / "a.txt", _root / "sub" / "link.txt");
+    stdfs::create_directory_symlink(_root / "sub", _root / "sub_link");
+    DiskFs fs(_root.string());
+    auto entries = fs.list("/");
+    ASSERT_EQ(entries.size(), 2u);
+    EXPECT_EQ(entries[1].name, "sub");
+    ASSERT_EQ(fs.list("/sub").size(), 1u);
+    EXPECT_EQ(fs.list("/sub")[0].name, "b.txt");
+}
+
+TEST_F(DiskFsTest, DirectorySymlinkSelfLoopTerminates)
+{
+    // sub/loop -> .. would otherwise repeat the whole tree under
+    // sub/loop/sub/loop/... until the path length limit.
+    stdfs::create_directory_symlink("..", _root / "sub" / "loop");
+    DiskFs fs(_root.string());
+    FileList files = generateFilenames(fs, "/");
+    ASSERT_EQ(files.size(), 2u);
+    EXPECT_EQ(files[0].path, "/a.txt");
+    EXPECT_EQ(files[1].path, "/sub/b.txt");
+}
+
+TEST_F(DiskFsTest, TwoLinkDirectoryCycleTerminates)
+{
+    // Two links per directory level make the walk branch at every
+    // level; following them never finishes.
+    stdfs::create_directories(_root / "x");
+    write(_root / "x" / "only.txt", "once");
+    stdfs::create_directory_symlink("..", _root / "x" / "up1");
+    stdfs::create_directory_symlink("..", _root / "x" / "up2");
+    stdfs::create_directory_symlink("x", _root / "x_again");
+    DiskFs fs(_root.string());
+    FileList files = generateFilenames(fs, "/");
+    std::size_t only = 0;
+    for (const FileEntry &file : files)
+        only += file.path.find("only.txt") != std::string::npos;
+    EXPECT_EQ(files.size(), 3u);
+    EXPECT_EQ(only, 1u);
 }
 
 TEST(DiskFsDeath, MissingRootIsFatal)

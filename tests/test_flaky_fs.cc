@@ -12,6 +12,7 @@
 #include "core/index_generator.hh"
 #include "fs/corpus.hh"
 #include "fs/flaky_fs.hh"
+#include "fs_listing_check.hh"
 #include "index/index_join.hh"
 #include "text/term_extractor.hh"
 #include "util/logging.hh"
@@ -42,6 +43,15 @@ TEST_F(FlakyFsTest, MetadataPassesThrough)
               _inner->list("/corpus").size());
     FileList files = generateFilenames(flaky, "/");
     EXPECT_EQ(files.size(), _inner->fileCount());
+}
+
+TEST_F(FlakyFsTest, ListingCarriesFileMetadata)
+{
+    FlakyFs flaky(*_inner, 0.5);
+    EXPECT_EQ(expectListingMatchesLookups(flaky, "/"),
+              _inner->fileCount());
+    // Listing a file's metadata never reads it.
+    EXPECT_EQ(flaky.failedReads(), 0u);
 }
 
 TEST_F(FlakyFsTest, ZeroProbabilityNeverFails)

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "search/query_server.hh"
 #include "util/fault.hh"
 #include "util/logging.hh"
+#include "util/timer.hh"
 
 namespace dsearch {
 namespace {
@@ -147,6 +149,104 @@ TEST_F(LiveIndexTest, CycleMakesChangesVisible)
 
     EXPECT_GE(live->stats().deltas_built, 2u);
     EXPECT_EQ(live->stats().tombstones, 2u); // old c + deleted a
+}
+
+TEST_F(LiveIndexTest, LayerTimesGrowAndFitInsideCycles)
+{
+    QueryServer server(IndexSnapshot{}, DocTable{}, {});
+    auto live = makeLive(server, nullptr);
+    LiveStats prev = live->stats();
+    EXPECT_EQ(prev.scan_seconds, 0.0); // adopt() is not a cycle
+    EXPECT_EQ(prev.delta_seconds, 0.0);
+    EXPECT_EQ(prev.publish_seconds, 0.0);
+
+    double wall = 0.0;
+    for (int cycle = 0; cycle < 12; ++cycle) {
+        if (cycle % 3 != 2) // every third cycle is idle
+            _fs.addFile("/docs/n" + std::to_string(cycle) + ".txt",
+                        "fresh words cycle" + std::to_string(cycle));
+        if (cycle == 7)
+            _fs.removeFile("/docs/b.txt");
+        if (cycle == 10)
+            armFault("live.delta_build", {.fire_limit = 1});
+        Timer timer;
+        live->runCycle();
+        wall += timer.elapsedSec();
+
+        LiveStats now = live->stats();
+        EXPECT_GT(now.scan_seconds, prev.scan_seconds); // every cycle
+        EXPECT_GE(now.delta_seconds, prev.delta_seconds);
+        EXPECT_GE(now.publish_seconds, prev.publish_seconds);
+        if (now.deltas_built > prev.deltas_built) {
+            EXPECT_GT(now.delta_seconds, prev.delta_seconds);
+        }
+        if (now.publishes > prev.publishes) {
+            EXPECT_GT(now.publish_seconds, prev.publish_seconds);
+        }
+        prev = now;
+    }
+    EXPECT_EQ(prev.failed_deltas, 1u);
+    EXPECT_GT(prev.delta_seconds, 0.0);
+    EXPECT_GT(prev.publish_seconds, 0.0);
+    EXPECT_LE(prev.scan_seconds + prev.delta_seconds
+                  + prev.publish_seconds,
+              wall);
+
+    // Compaction publishes, but is not a cycle layer.
+    live->compactNow();
+    EXPECT_EQ(live->stats().publish_seconds, prev.publish_seconds);
+}
+
+TEST_F(LiveIndexTest, PublishedDocTablesStayReadableWhileLiveAppends)
+{
+    // Each generation's DocTable shares its full chunks with the live
+    // index's table, which keeps appending. Readers hold published
+    // generations and re-read every path while cycles append more
+    // than DocTable::chunk_docs documents (TSan: check_tsan_live_index).
+    QueryServer server(IndexSnapshot{}, DocTable{}, {});
+    auto live = makeLive(server, nullptr);
+
+    std::atomic<bool> stop{false};
+    std::atomic<std::size_t> bad{0};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 2; ++r) {
+        readers.emplace_back([&] {
+            while (!stop.load()) {
+                std::shared_ptr<const ServingState> state =
+                    server.serving();
+                const DocTable &docs = state->docs;
+                for (DocId doc = 0; doc < docs.docCount(); ++doc) {
+                    const std::string &path = docs.path(doc);
+                    if (path.rfind("/docs/", 0) != 0
+                        && path.rfind("/grow/", 0) != 0)
+                        bad.fetch_add(1);
+                }
+            }
+        });
+    }
+
+    const std::size_t files = DocTable::chunk_docs * 2 + 40;
+    for (std::size_t i = 0; i < files; ++i) {
+        _fs.addFile("/grow/f" + std::to_string(i) + ".txt",
+                    "grow" + std::to_string(i % 7));
+        if (i % 37 == 36)
+            live->runCycle();
+    }
+    live->runCycle();
+    stop.store(true);
+    for (std::thread &reader : readers)
+        reader.join();
+
+    EXPECT_EQ(bad.load(), 0u);
+    std::shared_ptr<const ServingState> state = server.serving();
+    EXPECT_EQ(state->docs.docCount(), 3 + files);
+    std::set<std::string> want, got;
+    for (std::size_t i = 0; i < files; ++i)
+        want.insert("/grow/f" + std::to_string(i) + ".txt");
+    for (DocId doc = 3; doc < state->docs.docCount(); ++doc)
+        got.insert(state->docs.path(doc));
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(ask(server, "grow3").size(), files / 7 + (files % 7 > 3));
 }
 
 TEST_F(LiveIndexTest, CompactionPreservesAnswersAndPersists)

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "fs/memory_fs.hh"
+#include "fs_listing_check.hh"
 
 namespace dsearch {
 namespace {
@@ -53,6 +54,22 @@ TEST(MemoryFs, ListingIsSortedAndTyped)
     EXPECT_EQ(entries[1].name, "middle");
     EXPECT_TRUE(entries[1].is_dir);
     EXPECT_EQ(entries[2].name, "zeta.txt");
+}
+
+TEST(MemoryFs, ListingCarriesFileMetadata)
+{
+    MemoryFs fs;
+    fs.addFile("/a.txt", "alpha");
+    fs.addFile("/docs/b.txt", "");
+    fs.addFile("/docs/deep/c.txt", "gamma ray");
+    fs.addFile("/a.txt", "alpha, rewritten"); // later mtime
+    fs.mkdirs("/empty/dir");
+    EXPECT_EQ(expectListingMatchesLookups(fs, "/"), 3u);
+
+    std::vector<DirEntry> root = fs.list("/");
+    ASSERT_EQ(root.size(), 3u);
+    EXPECT_EQ(root[0].size, 16u);
+    EXPECT_GT(root[0].mtime, fs.fileMtime("/docs/deep/c.txt"));
 }
 
 TEST(MemoryFs, OverwriteReplacesContentAndAccounting)

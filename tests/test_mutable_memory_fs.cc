@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "fs/mutable_memory_fs.hh"
+#include "fs_listing_check.hh"
 
 namespace dsearch {
 namespace {
@@ -82,6 +83,22 @@ TEST(MutableMemoryFsTest, ListIsSortedAndComplete)
     ASSERT_EQ(sub.size(), 2u);
     EXPECT_EQ(sub[0].name, "x.txt");
     EXPECT_EQ(sub[1].name, "y.txt");
+}
+
+TEST(MutableMemoryFsTest, ListingCarriesFileMetadata)
+{
+    MutableMemoryFs fs;
+    fs.addFile("/a.txt", "alpha");
+    fs.addFile("/docs/b.txt", "");
+    fs.addFile("/docs/deep/c.txt", "gamma ray");
+    fs.addFile("/docs/deep0.txt", "sorts after the deep/ run");
+    fs.addFile("/a.txt", "alpha, rewritten");
+    EXPECT_EQ(expectListingMatchesLookups(fs, "/"), 4u);
+
+    fs.removeFile("/docs/b.txt");
+    fs.addFile("/docs/deep/c.txt", "gamma");
+    EXPECT_EQ(expectListingMatchesLookups(fs, "/"), 3u);
+    EXPECT_EQ(expectListingMatchesLookups(fs, "/docs/"), 2u);
 }
 
 TEST(MutableMemoryFsTest, NormalizesSloppyPaths)

@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "fs/corpus.hh"
+#include "fs/flaky_fs.hh"
 #include "fs/memory_fs.hh"
 #include "fs/mutable_memory_fs.hh"
 #include "index/doc_table.hh"
@@ -19,6 +21,35 @@
 
 namespace dsearch {
 namespace {
+
+/**
+ * The scan as it was before listings carried metadata: list() for the
+ * tree shape, then fileSize() and fileMtime() per file.
+ */
+void
+lookupScan(const FileSystem &fs, const std::string &dir,
+           ScanSnapshot &out)
+{
+    for (const DirEntry &entry : fs.list(dir)) {
+        std::string path = joinPath(dir, entry.name);
+        if (entry.is_dir)
+            lookupScan(fs, path, out);
+        else
+            out.emplace(path, FileState{fs.fileSize(path),
+                                        fs.fileMtime(path)});
+    }
+}
+
+/** Expect scanFileSystem() to equal lookupScan() over @p fs. */
+void
+expectScanMatchesLookups(const FileSystem &fs)
+{
+    ScanSnapshot scan, oracle;
+    ASSERT_TRUE(scanFileSystem(fs, "/", scan));
+    lookupScan(fs, "/", oracle);
+    ASSERT_FALSE(oracle.empty());
+    EXPECT_EQ(scan, oracle);
+}
 
 class ScanDiffTest : public ::testing::Test
 {
@@ -126,6 +157,24 @@ TEST_F(ScanDiffTest, WorksOnImmutableMemoryFs)
     ASSERT_TRUE(scanFileSystem(fs, "/", scan));
     ASSERT_EQ(scan.size(), 2u);
     EXPECT_EQ(scan.at("/x.txt").size, 2u);
+}
+
+TEST_F(ScanDiffTest, ScanEqualsPerPathLookups)
+{
+    // Names that sort between a directory and its children ("d" <
+    // "d.txt" < "d/...") exercise the walk-order/path-order gap.
+    MutableMemoryFs fs;
+    fs.addFile("/d/x.txt", "12345");
+    fs.addFile("/d.txt", "abc");
+    fs.addFile("/d0/y.txt", "");
+    fs.addFile("/d/e/z.txt", "zz");
+    fs.addFile("/d.txt", "abcd"); // rewritten: later mtime
+    expectScanMatchesLookups(fs);
+
+    std::unique_ptr<MemoryFs> corpus =
+        CorpusGenerator(CorpusSpec::tiny(11)).generateInMemory();
+    expectScanMatchesLookups(*corpus);
+    expectScanMatchesLookups(FlakyFs(*corpus, 0.5));
 }
 
 TEST_F(ScanDiffTest, AbortedWalkReturnsFalse)
